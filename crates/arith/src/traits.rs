@@ -51,10 +51,21 @@ pub trait Field:
     fn inverse(&self) -> Option<Self>;
 
     /// `self^exp` with `exp` given as little-endian 64-bit limbs.
+    ///
+    /// Square-and-multiply from the exponent's highest set bit down, so
+    /// leading zero bits and limbs cost nothing.
     fn pow(&self, exp: &[u64]) -> Self {
-        let mut res = Self::one();
-        for &limb in exp.iter().rev() {
-            for bit in (0..64).rev() {
+        let Some(top) = exp.iter().rposition(|&limb| limb != 0) else {
+            return Self::one();
+        };
+        let mut res = *self;
+        for (i, &limb) in exp[..=top].iter().enumerate().rev() {
+            let below = if i == top {
+                63 - limb.leading_zeros()
+            } else {
+                64
+            };
+            for bit in (0..below).rev() {
                 res = res.square();
                 if (limb >> bit) & 1 == 1 {
                     res *= *self;
@@ -116,5 +127,62 @@ pub trait PrimeField: Field + std::hash::Hash + Ord {
         let p_minus_1 = Self::modulus_biguint().sub(&BigUint::one());
         let exp = p_minus_1.shr(Self::TWO_ADICITY as usize);
         Self::multiplicative_generator().pow(exp.limbs())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fields::Fq;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The square-and-multiply loop over every bit of every limb.
+    fn pow_every_bit<F: Field>(base: &F, exp: &[u64]) -> F {
+        let mut res = F::one();
+        for &limb in exp.iter().rev() {
+            for bit in (0..64).rev() {
+                res = res.square();
+                if (limb >> bit) & 1 == 1 {
+                    res *= *base;
+                }
+            }
+        }
+        res
+    }
+
+    #[test]
+    fn pow_matches_the_every_bit_loop() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let base = Fq::random(&mut rng);
+        let mut cases: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            vec![0, 0, 0, 0],
+            vec![1],
+            vec![1, 0, 0, 0],
+            vec![u64::MAX],
+            vec![0, 0, 0, 1 << 63],
+            vec![u64::MAX; 4],
+        ];
+        for _ in 0..16 {
+            cases.push(vec![rng.gen()]);
+            cases.push(vec![rng.gen(), rng.gen(), rng.gen(), rng.gen()]);
+            // Random lengths with a zero top limb.
+            cases.push(vec![
+                rng.gen(),
+                rng.gen::<u64>() >> rng.gen_range(0u64..64),
+                0,
+            ]);
+        }
+        for exp in &cases {
+            assert_eq!(
+                base.pow(exp),
+                pow_every_bit(&base, exp),
+                "exponent {exp:x?}"
+            );
+        }
+        assert_eq!(Fq::zero().pow(&[0]), Fq::one());
+        assert_eq!(Fq::zero().pow(&[5]), Fq::zero());
     }
 }

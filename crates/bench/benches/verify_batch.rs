@@ -7,6 +7,10 @@
 //! * `verify_batch/{16,64}/ns_per_proof` — self-timed RLC batches,
 //!   recorded **per proof** so the speedup over `verify_batch/single`
 //!   reads directly off the table (the ISSUE's ≥5× target at N=64);
+//! * `verify_batch/16_quarter_invalid/ns_per_proof` — a self-timed
+//!   `isolate_invalid` over 16 bundles of which every fourth carries a
+//!   tampered payload (the relay-attack share of invalid proofs): the
+//!   root check plus the bisection that names the culprits, per proof;
 //! * `keycache/warm_load/10` — decode-and-rebuild time for a cached
 //!   proving key, the cold-start path `RlnProver::keygen_or_load` takes
 //!   on a warm cache.
@@ -74,6 +78,33 @@ fn bench_verify_batch(c: &mut Criterion) {
             best as f64 / 1e6 / n as f64
         );
     }
+
+    // Isolation at a quarter invalid: tampering the payload changes the
+    // public input x = H(m), so the proof no longer verifies.
+    let mut attacked: Vec<RlnMessageBundle> = bundles[..16].to_vec();
+    let invalid: Vec<usize> = (0..16).step_by(4).map(|i| i + 1).collect();
+    for &i in &invalid {
+        attacked[i].payload = b"tampered message".to_vec();
+    }
+    let attacked: Vec<&RlnMessageBundle> = attacked.iter().collect();
+    let rounds = 5usize;
+    let mut best = u128::MAX;
+    for _ in 0..rounds {
+        let started = Instant::now();
+        let flagged = verifier.isolate_invalid(std::hint::black_box(&attacked));
+        best = best.min(started.elapsed().as_nanos());
+        assert_eq!(flagged, invalid);
+    }
+    criterion::baseline::record_value(
+        "verify_batch/16_quarter_invalid/ns_per_proof",
+        best / 16,
+        rounds,
+    );
+    println!(
+        "verify_batch/16_quarter_invalid: {:.2} ms per batch, {:.3} ms per proof",
+        best as f64 / 1e6,
+        best as f64 / 1e6 / 16.0
+    );
 }
 
 fn bench_keycache_load(c: &mut Criterion) {

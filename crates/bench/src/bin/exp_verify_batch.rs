@@ -68,11 +68,31 @@ fn batch_table() {
             single.as_secs_f64() / per_proof.as_secs_f64()
         );
     }
+
+    // Isolation at a quarter invalid (every fourth payload tampered): the
+    // root check plus the bisection naming the culprits.
+    let mut attacked = bundles[..16].to_vec();
+    let invalid: Vec<usize> = (1..16).step_by(4).collect();
+    for &i in &invalid {
+        attacked[i].payload = b"tampered message".to_vec();
+    }
+    let attacked: Vec<&RlnMessageBundle> = attacked.iter().collect();
+    let total = best_of(5, || {
+        assert_eq!(verifier.isolate_invalid(&attacked), invalid)
+    });
+    let per_proof = total / 16;
+    println!(
+        "| 16, a quarter invalid (isolate) | {} | {} | {:.2}× |",
+        fmt_duration(total),
+        fmt_duration(per_proof),
+        single.as_secs_f64() / per_proof.as_secs_f64()
+    );
     println!();
     println!(
-        "(single-proof check: 3 Miller loops + 1 final exponentiation; a batch of N \
-         costs N+2 Miller loops — amortizing the final exponentiation and the fixed \
-         γ/δ line replays — plus two small MSMs per proof)"
+        "(single-proof check: 1 dynamic + 2 prepared Miller pairs and 1 final \
+         exponentiation; a batch of N is one Miller loop over N dynamic + 3 prepared \
+         (β/γ/δ) pairs, split across pool threads, and one final exponentiation; \
+         isolation adds one such check per bisection node, two halves at a time)"
     );
     println!();
 }

@@ -79,6 +79,53 @@ impl Fp12 {
             c1: self.c1.frobenius_map(power).scale(g),
         }
     }
+
+    /// Multiplication by the sparse element `a + (b0 + b1·v)·w` with `a` in
+    /// the base field — the shape of a Miller-loop line evaluated at a G1
+    /// point: ten Fp2 multiplications instead of eighteen.
+    pub(crate) fn mul_by_line(&self, a: Fq, b0: Fp2, b1: Fp2) -> Self {
+        let fa = Fp6::new(
+            self.c0.c0.scale(a),
+            self.c0.c1.scale(a),
+            self.c0.c2.scale(a),
+        );
+        let fb = self.c1.mul_by_01(b0, b1);
+        Fp12 {
+            c0: fa + fb.mul_by_v(),
+            c1: (self.c0 + self.c1).mul_by_01(b0 + Fp2::from_base(a), b1) - fa - fb,
+        }
+    }
+
+    /// Granger–Scott squaring ("Faster Squaring in the Cyclotomic Subgroup
+    /// of Sixth Degree Finite Fields", PKC 2010), valid only for elements
+    /// of the cyclotomic subgroup — norm 1 over Fp6 and over Fp4, which
+    /// holds for every output of the final exponentiation's easy part.
+    ///
+    /// Viewing Fp12 as `Fp4³` with `Fp4 = Fp2[s]/(s² − ξ)`, the square
+    /// needs three Fp4 squarings (six Fp2 multiplications) instead of the
+    /// general square's two Fp6 multiplications. Outside the subgroup the
+    /// result is not `self²`.
+    pub fn cyclotomic_square(&self) -> Self {
+        // The three Fp4 coordinates (z0 + z1·s), (z2 + z3·s), (z4 + z5·s).
+        let (z0, z4, z3) = (self.c0.c0, self.c0.c1, self.c0.c2);
+        let (z2, z1, z5) = (self.c1.c0, self.c1.c1, self.c1.c2);
+        // (a + b·s)² = (a² + ξb²) + 2ab·s.
+        let fp4_square = |a: Fp2, b: Fp2| {
+            let ab = a * b;
+            let t0 = (a + b) * (b.mul_by_nonresidue() + a) - ab - ab.mul_by_nonresidue();
+            (t0, ab.double())
+        };
+        let (t0, t1) = fp4_square(z0, z1);
+        let (t2, t3) = fp4_square(z2, z3);
+        let (t4, t5) = fp4_square(z4, z5);
+        // 3t − 2z for the "minus" slots, 3t + 2z for the "plus" slots.
+        let minus = |t: Fp2, z: Fp2| (t - z).double() + t;
+        let plus = |t: Fp2, z: Fp2| (t + z).double() + t;
+        Fp12 {
+            c0: Fp6::new(minus(t0, z0), minus(t2, z4), minus(t4, z3)),
+            c1: Fp6::new(plus(t5.mul_by_nonresidue(), z2), plus(t1, z1), plus(t3, z5)),
+        }
+    }
 }
 
 impl Add for Fp12 {
@@ -222,6 +269,25 @@ mod tests {
         for _ in 0..10 {
             let a = Fp12::random(&mut rng);
             assert_eq!(a.square(), a * a);
+        }
+    }
+
+    #[test]
+    fn sparse_products_match_generic_mul() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..10 {
+            let f = Fp12::random(&mut rng);
+            let (a, b0, b1) = (
+                Fq::random(&mut rng),
+                Fp2::random(&mut rng),
+                Fp2::random(&mut rng),
+            );
+            let line = Fp12::new(
+                Fp6::from_fp2(Fp2::from_base(a)),
+                Fp6::new(b0, b1, Fp2::zero()),
+            );
+            assert_eq!(f.mul_by_line(a, b0, b1), f * line);
+            assert_eq!(f.c0.mul_by_01(b0, b1), f.c0 * Fp6::new(b0, b1, Fp2::zero()));
         }
     }
 

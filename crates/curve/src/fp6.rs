@@ -79,6 +79,18 @@ impl Fp6 {
         }
     }
 
+    /// Multiplication by the sparse element `d0 + d1·v` (five Fp2
+    /// multiplications instead of six).
+    pub(crate) fn mul_by_01(&self, d0: Fp2, d1: Fp2) -> Self {
+        let t0 = self.c0 * d0;
+        let t1 = self.c1 * d1;
+        Fp6 {
+            c0: (self.c2 * d1).mul_by_nonresidue() + t0,
+            c1: (self.c0 + self.c1) * (d0 + d1) - t0 - t1,
+            c2: self.c2 * d0 + t1,
+        }
+    }
+
     /// Multiplies every coefficient by an Fp2 scalar.
     pub fn scale(&self, s: Fp2) -> Self {
         Fp6 {

@@ -289,44 +289,21 @@ pub fn msm_chunked<C: CurveParams>(parts: &[(&[Affine<C>], &[Fr])]) -> Projectiv
         }
         return acc;
     }
-    let with_limbs: Vec<LimbedPart<C>> = parts
-        .iter()
-        .map(|(bases, scalars)| {
-            let limbs: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical_limbs()).collect();
-            (*bases, limbs)
-        })
-        .collect();
-    msm_limbs(&with_limbs, 256)
-}
-
-/// A base slice paired with its scalars in canonical limb form — the
-/// pre-chewed input [`msm_limbs`] consumes.
-pub(crate) type LimbedPart<'a, C> = (&'a [Affine<C>], Vec<[u64; 4]>);
-
-/// Pippenger over pre-limbed scalars whose values fit in `bits - 1` bits
-/// (the extra bit absorbs the signed-recoding carry). `msm_chunked` calls
-/// this with 256; the GLS G2 path (`crate::endo`) with 132, halving the
-/// window count for its ≤128-bit decomposed scalars.
-pub(crate) fn msm_limbs<C: CurveParams>(parts: &[LimbedPart<'_, C>], bits: usize) -> Projective<C> {
-    let n: usize = parts.iter().map(|(b, _)| b.len()).sum();
-    if n == 0 {
-        return Projective::identity();
-    }
     let c = window_size(n);
-    let num_windows = bits.div_ceil(c);
+    // Scalars are < 2²⁵⁴, so 256 bits of windows absorb the recoding carry.
+    let num_windows = 256usize.div_ceil(c);
     // Signed digits are recoded once (they carry between windows, so the
     // per-window tasks index a precomputed table instead).
     let with_digits: Vec<(&[Affine<C>], Vec<i16>)> = parts
         .iter()
-        .map(|(bases, limbs)| {
-            let mut digits = vec![0i16; limbs.len() * num_windows];
-            for (l, out) in limbs.iter().zip(digits.chunks_mut(num_windows)) {
-                recode_signed(l, c, out);
+        .map(|(bases, scalars)| {
+            let mut digits = vec![0i16; scalars.len() * num_windows];
+            for (s, out) in scalars.iter().zip(digits.chunks_mut(num_windows)) {
+                recode_signed(&s.to_canonical_limbs(), c, out);
             }
             (*bases, digits)
         })
         .collect();
-
     // Each window is independent: a pool task per window, executed by at
     // most `pool size` threads via work stealing.
     let windows: Vec<usize> = (0..num_windows).collect();

@@ -11,11 +11,12 @@
 //! l = py − (λ'·px)·w + (λ'·x' − y')·w³,
 //! ```
 //!
-//! assembled by coefficient placement. The two Frobenius correction steps
-//! of the optimal ate formula become the GLS endomorphism `ψ` in twist
-//! coordinates (see [`crate::endo`]): `Q₁ = ψ(Q)`, `Q₂ = −ψ²(Q)`.
+//! multiplied into the accumulator with a sparse product
+//! (`Fp12::mul_by_line`). The two Frobenius correction steps of the
+//! optimal ate formula become the endomorphism `ψ` in twist coordinates
+//! (see [`crate::endo`]): `Q₁ = ψ(Q)`, `Q₂ = −ψ²(Q)`.
 //!
-//! Two batching levers sit on top:
+//! Three batching levers sit on top:
 //!
 //! * [`G2Prepared`] — for a *fixed* G2 point the sequence of line
 //!   coefficients `(λ', x', y')` depends only on the point, so a verifier
@@ -25,19 +26,23 @@
 //!   under one shared `f`-squaring chain, and amortizes the dynamic pairs'
 //!   slope denominators with one Fp2 batch inversion per step. This is the
 //!   engine under batch Groth16 verification.
+//! * Thread chunks — with enough dynamic pairs, [`miller_loop_mixed`]
+//!   splits them into one chunk per pool thread, each with its own
+//!   squaring chain, and multiplies the partial products (bit-identical,
+//!   since Fp12 arithmetic is exact).
 //!
 //! The final exponentiation does the easy part with Frobenius/conjugation
-//! and the hard part by a straight square-and-multiply over the derived
-//! exponent `(p⁴ − p² + 1)/r`.
+//! and the hard part with the `x`-chain of Devegili, Scott and Dahab:
+//! three exponentiations by the 63-bit BN parameter over Granger–Scott
+//! cyclotomic squarings, instead of one by the 762-bit exponent
+//! `(p⁴ − p² + 1)/r`. Its output is bit-identical to that generic power
+//! (an oracle test pins it).
 //!
 //! The BN parameter is `x = 4965661367192848881`; the Miller loop runs over
 //! `6x + 2 = 29793968203157093288`.
 
-use std::sync::OnceLock;
-
-use waku_arith::biguint::BigUint;
-use waku_arith::fields::{Fq, Fr};
-use waku_arith::traits::{Field, PrimeField};
+use waku_arith::fields::Fq;
+use waku_arith::traits::Field;
 
 use crate::endo::psi;
 use crate::fp12::Fp12;
@@ -140,19 +145,19 @@ fn add_step(t: &mut G2Affine, q: &G2Affine, inv: &Fp2) -> LineCoeff {
     coeff
 }
 
-/// Evaluates a recorded line at the embedded G1 point `(px, py)`,
-/// assembling the sparse Fp12 value by coefficient placement
-/// (`1 → c0.c0`, `w² = v → c0.c1`, `w → c1.c0`, `w³ = v·w → c1.c1`).
-fn eval_line(coeff: &LineCoeff, px: Fq, py: Fq) -> Fp12 {
+/// Multiplies `f` by a recorded line evaluated at the embedded G1 point
+/// `(px, py)`. The value is the sparse element with coefficients placed as
+/// `1 → c0.c0`, `w² = v → c0.c1`, `w → c1.c0`, `w³ = v·w → c1.c1`, so a
+/// tangent or chord costs a sparse product.
+fn mul_line(f: &mut Fp12, coeff: &LineCoeff, px: Fq, py: Fq) {
     match coeff {
-        LineCoeff::Line { lambda, x, y } => Fp12::new(
-            Fp6::new(Fp2::from_base(py), Fp2::zero(), Fp2::zero()),
-            Fp6::new(-lambda.scale(px), *lambda * *x - *y, Fp2::zero()),
-        ),
-        LineCoeff::Vertical { x } => {
-            Fp12::new(Fp6::new(Fp2::from_base(px), -*x, Fp2::zero()), Fp6::zero())
+        LineCoeff::Line { lambda, x, y } => {
+            *f = f.mul_by_line(py, -lambda.scale(px), *lambda * *x - *y);
         }
-        LineCoeff::One => Fp12::one(),
+        LineCoeff::Vertical { x } => {
+            *f *= Fp12::new(Fp6::new(Fp2::from_base(px), -*x, Fp2::zero()), Fp6::zero());
+        }
+        LineCoeff::One => {}
     }
 }
 
@@ -211,6 +216,7 @@ impl From<&G2Affine> for G2Prepared {
 
 /// A dynamic pair's loop state: the embedded G1 coordinates, the original
 /// G2 point, and the running accumulator.
+#[derive(Copy, Clone)]
 struct DynPair {
     px: Fq,
     py: Fq,
@@ -218,20 +224,43 @@ struct DynPair {
     t: G2Affine,
 }
 
+/// Fewest dynamic pairs a thread chunk of the Miller loop gets. Each chunk
+/// pays its own `f`-squaring chain and its own batch inversion per step
+/// (one Fq inversion each, ~1.5 ms per loop in total); on an idle 2-thread
+/// pool a split pays from 2 pairs per chunk, but inside a bisection both
+/// threads are already busy and every extra chunk is pure extra work, so
+/// only loops of at least 8 pairs split.
+const MIN_DYNAMIC_PER_CHUNK: usize = 4;
+
 /// Product of Miller loops over `dynamic` (fresh G2 points) and `prepared`
-/// (fixed G2 points with recorded lines) pairs, sharing one `f`-squaring
-/// chain, *without* the final exponentiation.
+/// (fixed G2 points with recorded lines), *without* the final
+/// exponentiation.
 ///
-/// All dynamic pairs advance in lock-step, so each doubling/addition phase
-/// needs a single Fp2 batch inversion across the whole batch — the
-/// marginal pairing cost of one more pair is roughly its line arithmetic.
-/// Pairs with an identity element on either side are skipped (contribute
-/// the neutral factor 1).
+/// All dynamic pairs of a chunk advance in lock-step under one shared
+/// `f`-squaring chain, so each doubling/addition phase needs a single Fp2
+/// batch inversion across the chunk — the marginal pairing cost of one
+/// more pair is roughly its line arithmetic. With a multi-thread pool and
+/// enough dynamic pairs, the pairs are split into one chunk per pool
+/// thread, each running its own loop as a pool task, and the partial
+/// products are multiplied; Fp12 arithmetic is exact, so the result is
+/// bit-identical to the one-chunk loop. Pairs with an identity element on
+/// either side are skipped (contribute the neutral factor 1).
 pub fn miller_loop_mixed(
     dynamic: &[(G1Affine, G2Affine)],
     prepared: &[(G1Affine, &G2Prepared)],
 ) -> Fp12 {
-    let mut dyns: Vec<DynPair> = dynamic
+    let chunks = (dynamic.len() / MIN_DYNAMIC_PER_CHUNK).clamp(1, waku_pool::current_num_threads());
+    miller_loop_chunked(dynamic, prepared, dynamic.len().div_ceil(chunks))
+}
+
+/// [`miller_loop_mixed`] with the dynamic pairs split into chunks of at
+/// most `chunk` pairs (the prepared pairs ride with the first chunk).
+fn miller_loop_chunked(
+    dynamic: &[(G1Affine, G2Affine)],
+    prepared: &[(G1Affine, &G2Prepared)],
+    chunk: usize,
+) -> Fp12 {
+    let dyns: Vec<DynPair> = dynamic
         .iter()
         .filter(|(p, q)| !p.is_identity() && !q.is_identity())
         .map(|(p, q)| DynPair {
@@ -246,6 +275,19 @@ pub fn miller_loop_mixed(
         .filter(|(p, prep)| !p.is_identity() && !prep.infinity)
         .map(|(p, prep)| (p.x, p.y, *prep))
         .collect();
+    let chunk = chunk.max(1);
+    if dyns.len() <= chunk {
+        return miller_loop_serial(dyns, &preps);
+    }
+    let chunks: Vec<(usize, &[DynPair])> = dyns.chunks(chunk).enumerate().collect();
+    let partials = waku_pool::par_map(&chunks, |&(i, c)| {
+        miller_loop_serial(c.to_vec(), if i == 0 { &preps } else { &[] })
+    });
+    partials.into_iter().fold(Fp12::one(), |acc, f| acc * f)
+}
+
+/// One Miller loop over `dyns` and `preps` under a single squaring chain.
+fn miller_loop_serial(mut dyns: Vec<DynPair>, preps: &[(Fq, Fq, &G2Prepared)]) -> Fp12 {
     if dyns.is_empty() && preps.is_empty() {
         return Fp12::one();
     }
@@ -268,10 +310,10 @@ pub fn miller_loop_mixed(
             for (d, inv) in dyns.iter_mut().zip(denoms.iter()) {
                 #[allow(clippy::redundant_closure_call)]
                 let coeff = $step(d, inv);
-                f *= eval_line(&coeff, d.px, d.py);
+                mul_line(&mut f, &coeff, d.px, d.py);
             }
             for (px, py, prep) in preps.iter() {
-                f *= eval_line(&prep.coeffs[cursor], *px, *py);
+                mul_line(&mut f, &prep.coeffs[cursor], *px, *py);
             }
             cursor += 1;
         }};
@@ -317,10 +359,10 @@ pub fn miller_loop_mixed(
         for ((d, c), inv) in dyns.iter_mut().zip(corr.iter()).zip(denoms.iter()) {
             let target = if pick == 0 { c.0 } else { c.1 };
             let coeff = add_step(&mut d.t, &target, inv);
-            f *= eval_line(&coeff, d.px, d.py);
+            mul_line(&mut f, &coeff, d.px, d.py);
         }
         for (px, py, prep) in preps.iter() {
-            f *= eval_line(&prep.coeffs[cursor], *px, *py);
+            mul_line(&mut f, &prep.coeffs[cursor], *px, *py);
         }
         cursor += 1;
     }
@@ -334,20 +376,31 @@ pub fn miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
     miller_loop_mixed(pairs, &[])
 }
 
-/// The hard-part exponent `(p⁴ − p² + 1) / r`, derived once.
-fn hard_part_exponent() -> &'static Vec<u64> {
-    static CELL: OnceLock<Vec<u64>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
-        let r = BigUint::from_limbs(&<Fr as PrimeField>::MODULUS);
-        let num = p.pow(4).sub(&p.pow(2)).add(&BigUint::one());
-        let (q, rem) = num.div_rem(&r);
-        assert!(rem.is_zero(), "BN identity: r | p⁴ − p² + 1");
-        q.limbs().to_vec()
-    })
+/// `f^x` for the BN parameter `x` ([`BN_X`]), by square-and-multiply over
+/// its 63 bits with cyclotomic squarings (so `f` must lie in the
+/// cyclotomic subgroup).
+fn exp_by_x(f: &Fp12) -> Fp12 {
+    let mut res = *f;
+    for bit in (0..63 - BN_X.leading_zeros()).rev() {
+        res = res.cyclotomic_square();
+        if (BN_X >> bit) & 1 == 1 {
+            res *= *f;
+        }
+    }
+    res
 }
 
 /// Final exponentiation `f ↦ f^((p¹²−1)/r)`.
+///
+/// The easy part `(p⁶−1)(p²+1)` is one inversion, a conjugation and a
+/// Frobenius map; it lands in the cyclotomic subgroup, where inversion is
+/// conjugation and squaring is [`Fp12::cyclotomic_square`]. The hard part
+/// `(p⁴−p²+1)/r` is the Devegili–Scott–Dahab decomposition
+/// `λ₀ + λ₁p + λ₂p² + λ₃p³` with each `λᵢ` a polynomial in `x`: three
+/// `exp_by_x` chains (`f^x`, `f^{x²}`, `f^{x³}`), Frobenius maps and a
+/// short fixed multiplication chain. It computes exactly the same power as
+/// a generic exponentiation by `(p⁴−p²+1)/r`, so every pairing value is
+/// bit-identical to that reference.
 ///
 /// Returns `None` if `f` is zero (which a Miller loop never produces for
 /// valid points).
@@ -355,9 +408,31 @@ pub fn final_exponentiation(f: &Fp12) -> Option<Fp12> {
     // Easy part: f^(p⁶−1) = conj(f)·f⁻¹, then ^(p²+1).
     let f_inv = f.inverse()?;
     let f1 = f.conjugate() * f_inv;
-    let f2 = f1.frobenius_map(2) * f1;
-    // Hard part: ^( (p⁴−p²+1)/r ).
-    Some(f2.pow(hard_part_exponent()))
+    let t = f1.frobenius_map(2) * f1;
+
+    // Hard part, in the shape of go-ethereum's bn256 finalExponentiation.
+    let fp = t.frobenius_map(1);
+    let fp2 = t.frobenius_map(2);
+    let fp3 = fp2.frobenius_map(1);
+    let fu = exp_by_x(&t);
+    let fu2 = exp_by_x(&fu);
+    let fu3 = exp_by_x(&fu2);
+
+    let y0 = fp * fp2 * fp3;
+    let y1 = t.conjugate();
+    let y2 = fu2.frobenius_map(2);
+    let y3 = fu.frobenius_map(1).conjugate();
+    let y4 = (fu * fu2.frobenius_map(1)).conjugate();
+    let y5 = fu2.conjugate();
+    let y6 = (fu3 * fu3.frobenius_map(1)).conjugate();
+
+    let mut t0 = y6.cyclotomic_square() * y4 * y5;
+    let mut t1 = y3 * y5 * t0;
+    t0 *= y2;
+    t1 = (t1.cyclotomic_square() * t0).cyclotomic_square();
+    t0 = t1 * y1;
+    t1 *= y0;
+    Some(t0.cyclotomic_square() * t1)
 }
 
 /// The full optimal ate pairing `e: G1 × G2 → μ_r ⊂ Fp12`.
@@ -387,6 +462,92 @@ mod tests {
     use crate::g2::G2Projective;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::OnceLock;
+    use waku_arith::biguint::BigUint;
+    use waku_arith::fields::Fr;
+    use waku_arith::traits::PrimeField;
+
+    /// The reference final exponentiation: the same easy part, then the
+    /// hard part as one generic power by `(p⁴ − p² + 1)/r`.
+    fn final_exponentiation_reference(f: &Fp12) -> Option<Fp12> {
+        static HARD: OnceLock<Vec<u64>> = OnceLock::new();
+        let hard = HARD.get_or_init(|| {
+            let p = BigUint::from_limbs(&<Fq as PrimeField>::MODULUS);
+            let r = BigUint::from_limbs(&<Fr as PrimeField>::MODULUS);
+            let num = p.pow(4).sub(&p.pow(2)).add(&BigUint::one());
+            let (q, rem) = num.div_rem(&r);
+            assert!(rem.is_zero(), "BN identity: r | p⁴ − p² + 1");
+            q.limbs().to_vec()
+        });
+        let f1 = f.conjugate() * f.inverse()?;
+        let f2 = f1.frobenius_map(2) * f1;
+        Some(f2.pow(hard))
+    }
+
+    fn random_pairs(rng: &mut StdRng, n: usize) -> Vec<(G1Affine, G2Affine)> {
+        (0..n)
+            .map(|_| {
+                (
+                    G1Projective::generator().mul(Fr::random(rng)).to_affine(),
+                    G2Projective::generator().mul(Fr::random(rng)).to_affine(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn final_exponentiation_matches_generic_power() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in 0..32 {
+            let f = miller_loop(&random_pairs(&mut rng, 1 + n % 3));
+            assert_eq!(
+                final_exponentiation(&f),
+                final_exponentiation_reference(&f),
+                "Miller output {n}"
+            );
+        }
+        assert_eq!(final_exponentiation(&Fp12::zero()), None);
+    }
+
+    #[test]
+    fn cyclotomic_square_matches_square_in_the_subgroup() {
+        let mut rng = StdRng::seed_from_u64(32);
+        for pair in random_pairs(&mut rng, 8) {
+            let e = pairing(&pair.0, &pair.1);
+            assert_eq!(e.cyclotomic_square(), e.square());
+            // After the easy part alone (not yet of order r) too.
+            let f = miller_loop(&[pair]);
+            let f1 = f.conjugate() * f.inverse().unwrap();
+            let easy = f1.frobenius_map(2) * f1;
+            assert_eq!(easy.cyclotomic_square(), easy.square());
+        }
+    }
+
+    #[test]
+    fn chunked_miller_loop_is_bit_identical_to_one_chunk() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut pairs = random_pairs(&mut rng, 64);
+        // Identity pairs on either side contribute nothing in any chunk.
+        pairs[5].0 = G1Affine::identity();
+        pairs[17].1 = G2Affine::identity();
+        pairs[40] = (G1Affine::identity(), G2Affine::identity());
+        let gamma = G2Prepared::new(&random_pairs(&mut rng, 1)[0].1);
+        let prepared = [(G1Affine::generator(), &gamma)];
+        waku_pool::with_threads(2, || {
+            for n in 0..=64 {
+                let dynamic = &pairs[..n];
+                let one_chunk = miller_loop_chunked(dynamic, &prepared, usize::MAX);
+                for chunk in [1, 3, 8, n.div_ceil(2)] {
+                    assert_eq!(
+                        miller_loop_chunked(dynamic, &prepared, chunk),
+                        one_chunk,
+                        "{n} dynamic pairs in chunks of {chunk}"
+                    );
+                }
+                assert_eq!(miller_loop_mixed(dynamic, &prepared), one_chunk);
+            }
+        });
+    }
 
     #[test]
     fn pairing_is_nondegenerate() {

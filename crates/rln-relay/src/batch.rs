@@ -13,8 +13,12 @@
 //! the oldest queued bundle has waited [`BatchConfig::max_delay_secs`]
 //! (checked against the caller-supplied clock, so the scheduler stays
 //! deterministic — same rule as every other time source in the harness).
-//! A failed batch is bisected ([`waku_rln::RlnVerifier::isolate_invalid`])
-//! so one spammer costs `O(log n)` sub-batch checks, not a lost batch.
+//! A flush is one [`waku_rln::RlnVerifier::isolate_invalid`] call: the
+//! root batch check, then — only if it fails — a bisection, so one spammer
+//! costs `O(log n)` sub-batch checks, not a lost batch. The sub-checks
+//! reuse the root's transcript scalars and scaled points, each is one
+//! mixed Miller loop plus one final exponentiation, and the two halves of
+//! every split run concurrently on the pool.
 //!
 //! Rate checks (step 4) run at flush time in FIFO arrival order, so
 //! duplicate/spam verdicts — including collisions *inside* one batch —
@@ -247,13 +251,10 @@ impl BatchingValidator {
         let batch: Vec<QueuedBundle> = self.queue.drain(..).collect();
         let refs: Vec<&RlnMessageBundle> = batch.iter().map(|q| &q.bundle).collect();
 
+        // One call does the root batch check and, only if it fails, the
+        // bisection; an empty result means the whole batch verified.
         let started = Instant::now();
-        let all_valid = self.inner.verifier().verify_batch(&refs);
-        let invalid = if all_valid {
-            Vec::new()
-        } else {
-            self.inner.verifier().isolate_invalid(&refs)
-        };
+        let invalid = self.inner.verifier().isolate_invalid(&refs);
         let batch_ns = started.elapsed().as_nanos() as u64;
 
         let m = self.inner.handles();

@@ -357,8 +357,8 @@ impl RlnVerifier {
     /// the whole batch) instead of `n` independent pairings.
     ///
     /// Returns `true` iff *every* bundle's proof is valid — a single bad
-    /// proof fails the whole batch; use
-    /// [`RlnVerifier::isolate_invalid`] afterwards to find the culprits.
+    /// proof fails the whole batch; use [`RlnVerifier::isolate_invalid`]
+    /// instead to learn which bundles are the culprits.
     /// An empty batch is vacuously valid.
     pub fn verify_batch(&self, bundles: &[&RlnMessageBundle]) -> bool {
         let proofs: Vec<_> = bundles.iter().map(|b| b.proof).collect();
@@ -366,10 +366,15 @@ impl RlnVerifier {
         self.pvk.verify_batch(&proofs, &inputs).unwrap_or(false)
     }
 
-    /// Bisects a failed batch down to the indices of the invalid bundles
-    /// (ascending). Cost is `O(k · log n)` sub-batch checks for `k` bad
-    /// proofs — cheap when invalid proofs are rare, which is the expected
-    /// steady state (spam is rate-limited upstream of proof checking).
+    /// Checks a batch and returns the indices of its invalid bundles
+    /// (ascending; empty means every proof verified). This is the root
+    /// check of [`RlnVerifier::verify_batch`] followed, only when it fails,
+    /// by a bisection, so callers need not run `verify_batch` first. Cost
+    /// is one batch check when all bundles are valid, plus `O(k · log n)`
+    /// sub-batch checks for `k` bad proofs; each sub-check reuses the root
+    /// batch's transcript scalars and scaled points and costs one mixed
+    /// Miller loop and one final exponentiation, and the two halves of
+    /// every split are checked concurrently on the pool.
     pub fn isolate_invalid(&self, bundles: &[&RlnMessageBundle]) -> Vec<usize> {
         let proofs: Vec<_> = bundles.iter().map(|b| b.proof).collect();
         let inputs: Vec<_> = bundles.iter().map(|b| b.public_inputs().to_vec()).collect();

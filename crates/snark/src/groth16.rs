@@ -8,6 +8,7 @@
 //! caller's RNG and dropped, which preserves every protocol behaviour the
 //! reproduction measures.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use rand::Rng;
@@ -285,17 +286,20 @@ pub fn prove<R: Rng + ?Sized>(
 }
 
 /// A verifying key with the `e(α, β)` pairing *and* the Miller-loop line
-/// coefficients of the fixed G2 elements (γ, δ) precomputed.
+/// coefficients of the fixed G2 elements (β, γ, δ) precomputed.
 ///
 /// Single verification then costs one dynamic Miller pair plus two
-/// prepared-line replays and a final exponentiation; batches of proofs
-/// share the replays, the squaring chain, and the final exponentiation
-/// through [`PreparedVerifyingKey::verify_batch`].
+/// prepared-line replays (γ, δ) and a final exponentiation, times the
+/// stored `e(α, β)`; batches of proofs share the replays, the squaring
+/// chain, and the final exponentiation through
+/// [`PreparedVerifyingKey::verify_batch`], and pair their `α` term with
+/// the prepared β lines instead of raising `e(α, β)` to a power.
 #[derive(Clone, Debug)]
 pub struct PreparedVerifyingKey {
     /// The underlying verifying key.
     pub vk: VerifyingKey,
     alpha_beta: Fp12,
+    beta_prepared: G2Prepared,
     gamma_prepared: G2Prepared,
     delta_prepared: G2Prepared,
 }
@@ -303,15 +307,23 @@ pub struct PreparedVerifyingKey {
 impl From<VerifyingKey> for PreparedVerifyingKey {
     fn from(vk: VerifyingKey) -> Self {
         let alpha_beta = pairing(&vk.alpha_g1, &vk.beta_g2);
+        let beta_prepared = G2Prepared::new(&vk.beta_g2);
         let gamma_prepared = G2Prepared::new(&vk.gamma_g2);
         let delta_prepared = G2Prepared::new(&vk.delta_g2);
         PreparedVerifyingKey {
             vk,
             alpha_beta,
+            beta_prepared,
             gamma_prepared,
             delta_prepared,
         }
     }
+}
+
+/// True when all three proof elements lie on their curves (malformed
+/// network input is rejected before any pairing work).
+fn on_curve(proof: &Proof) -> bool {
+    proof.a.is_on_curve() && proof.b.is_on_curve() && proof.c.is_on_curve()
 }
 
 impl PreparedVerifyingKey {
@@ -325,9 +337,7 @@ impl PreparedVerifyingKey {
         if public_inputs.len() + 1 != self.vk.ic.len() {
             return Err(SnarkError::InputLengthMismatch);
         }
-        // Reject points outside the curve/subgroup (defense against
-        // malformed network input).
-        if !proof.a.is_on_curve() || !proof.b.is_on_curve() || !proof.c.is_on_curve() {
+        if !on_curve(proof) {
             return Ok(false);
         }
         let ic = self.aggregate_ic(public_inputs);
@@ -357,16 +367,17 @@ impl PreparedVerifyingKey {
     /// `rᵢ`, the N pairing equations collapse into
     ///
     /// ```text
-    /// FE( ∏ᵢ ml(−rᵢA_i, B_i) · ml(Σᵢ rᵢIC_i, γ) · ml(Σᵢ rᵢC_i, δ) )
-    ///   · e(α,β)^(Σᵢ rᵢ)  ==  1,
+    /// FE( ∏ᵢ ml(−rᵢAᵢ, Bᵢ) · ml(Σᵢ rᵢICᵢ, γ) · ml(Σᵢ rᵢCᵢ, δ)
+    ///     · ml((Σᵢ rᵢ)·α, β) )  ==  1,
     /// ```
     ///
     /// one mixed Miller loop (the dynamic pairs share every squaring and a
-    /// per-step batch inversion, γ/δ replay prepared lines) and one final
-    /// exponentiation. The `rᵢ` are drawn by Fiat–Shamir from a hash over
-    /// the verifying key, every proof, and every public input, so an
-    /// adversary cannot craft proofs whose errors cancel: any invalid
-    /// member fails the whole batch except with probability ≈2⁻¹²⁸.
+    /// per-step batch inversion, and split across pool threads; β/γ/δ
+    /// replay prepared lines) and one final exponentiation. The `rᵢ` are
+    /// drawn by Fiat–Shamir from a hash over the verifying key, every
+    /// proof, and every public input, so an adversary cannot craft proofs
+    /// whose errors cancel: any invalid member fails the whole batch except
+    /// with probability ≈2⁻¹²⁸.
     ///
     /// Returns `Ok(true)` for the empty batch. Use
     /// [`PreparedVerifyingKey::verify_batch_isolating`] to find *which*
@@ -378,80 +389,44 @@ impl PreparedVerifyingKey {
     /// `inputs` differ in length or any input vector does not match the
     /// key.
     pub fn verify_batch(&self, proofs: &[Proof], inputs: &[Vec<Fr>]) -> Result<bool, SnarkError> {
-        if proofs.len() != inputs.len() {
-            return Err(SnarkError::InputLengthMismatch);
-        }
-        if inputs.iter().any(|x| x.len() + 1 != self.vk.ic.len()) {
-            return Err(SnarkError::InputLengthMismatch);
-        }
+        self.check_batch_shape(proofs, inputs)?;
         match proofs.len() {
-            0 => return Ok(true),
-            1 => return self.verify(&proofs[0], &inputs[0]),
-            _ => {}
-        }
-        if proofs
-            .iter()
-            .any(|p| !p.a.is_on_curve() || !p.b.is_on_curve() || !p.c.is_on_curve())
-        {
-            return Ok(false);
-        }
-
-        let rs = self.batch_scalars(proofs, inputs);
-
-        // −rᵢ·Aᵢ: half-width double-and-add per proof, fanned out on the
-        // pool (the per-proof Miller pair dominates; this keeps the RLC
-        // scaling off the critical path).
-        let jobs: Vec<(G1Affine, [u64; 2])> = proofs
-            .iter()
-            .zip(rs.iter())
-            .map(|(p, r)| (p.a, [r.0 as u64, (r.0 >> 64) as u64]))
-            .collect();
-        let scaled =
-            waku_pool::par_map(&jobs, |(a, limbs)| a.to_projective().mul_limbs(limbs).neg());
-        let neg_a: Vec<G1Affine> = Projective::batch_to_affine(&scaled);
-        let dynamic: Vec<(G1Affine, G2Affine)> = neg_a
-            .into_iter()
-            .zip(proofs.iter())
-            .map(|(a, p)| (a, p.b))
-            .collect();
-
-        let r_fr: Vec<Fr> = rs.iter().map(|r| r.1).collect();
-        // Σᵢ rᵢ·ICᵢ folded per *base*: (Σrᵢ)·IC₀ + Σⱼ (Σᵢ rᵢxᵢⱼ)·ICⱼ₊₁ —
-        // one tiny MSM over the key's IC points instead of N point adds.
-        let mut ic_coeffs = vec![Fr::zero(); self.vk.ic.len()];
-        for (r, x) in r_fr.iter().zip(inputs.iter()) {
-            ic_coeffs[0] += *r;
-            for (c, xj) in ic_coeffs[1..].iter_mut().zip(x.iter()) {
-                *c += *r * *xj;
+            0 => Ok(true),
+            1 => self.verify(&proofs[0], &inputs[0]),
+            _ if !proofs.iter().all(on_curve) => Ok(false),
+            n => {
+                let terms = BatchTerms::new(self, proofs, inputs);
+                Ok(terms.check(0..n, &terms.aggregate(0..n)))
             }
         }
-        // Σᵢ rᵢ·Cᵢ runs as a pooled Pippenger MSM alongside the IC fold.
-        let (ic_agg, c_agg) = waku_pool::join(
-            || msm(&self.vk.ic, &ic_coeffs).to_affine(),
-            || {
-                let c_points: Vec<G1Affine> = proofs.iter().map(|p| p.c).collect();
-                msm(&c_points, &r_fr).to_affine()
-            },
-        );
-
-        let ml = miller_loop_mixed(
-            &dynamic,
-            &[
-                (ic_agg, &self.gamma_prepared),
-                (c_agg, &self.delta_prepared),
-            ],
-        );
-        let Some(fe) = final_exponentiation(&ml) else {
-            return Ok(false);
-        };
-        let r_sum = r_fr.iter().fold(Fr::zero(), |acc, r| acc + *r);
-        Ok(fe * self.alpha_beta.pow(&r_sum.to_canonical_limbs()) == Fp12::one())
     }
 
     /// Verifies a batch and, when it fails, bisects to return the indices
     /// of exactly the invalid members (sorted ascending; empty means the
-    /// whole batch verified). Cost is one batch check when all-valid, plus
+    /// whole batch verified). Members with off-curve points are flagged
+    /// up front; the rest go through the root check of
+    /// [`PreparedVerifyingKey::verify_batch`] and, if it fails, a
+    /// bisection whose two halves are checked concurrently with
+    /// [`waku_pool::join`]. Cost is one batch check when all-valid, plus
     /// `O(k·log N)` sub-batch checks for `k` offenders.
+    ///
+    /// Every sub-check is the root's random linear combination restricted
+    /// to a subset `S`: it reuses the root's transcript scalars `rᵢ`, the
+    /// pre-scaled `−rᵢAᵢ` and the `Cᵢ`, so it needs no new transcript and
+    /// no re-scaling, and a right half's aggregated G1 terms are the
+    /// parent's minus the left half's. Size-1 checks stay in this form.
+    ///
+    /// **Soundness.** A subset of valid proofs always passes. Write proof
+    /// `i`'s pairing-equation error as `g^{εᵢ}` in the order-`q` target
+    /// group; a sub-check over `S` passes iff `Σ_{i∈S} rᵢεᵢ ≡ 0 (mod q)`.
+    /// The `rᵢ` are bound to the whole root transcript, so for errors fixed
+    /// before they are drawn, a subset holding an invalid proof passes
+    /// with probability ≤ 2⁻¹²⁸ (one nonzero coefficient, one uniform
+    /// 128-bit unknown). A bisection makes at most `2N − 1` sub-checks, so
+    /// by the union bound it misses an invalid proof with probability at
+    /// most `2N·2⁻¹²⁸` per transcript. A size-1 check is exact: `rᵢ` is
+    /// nonzero mod `q`, so `e^{rᵢ} = 1` iff `e = 1`, the verdict of
+    /// [`PreparedVerifyingKey::verify`].
     ///
     /// # Errors
     ///
@@ -461,28 +436,32 @@ impl PreparedVerifyingKey {
         proofs: &[Proof],
         inputs: &[Vec<Fr>],
     ) -> Result<Vec<usize>, SnarkError> {
-        let mut bad = Vec::new();
-        self.isolate(proofs, inputs, 0, &mut bad)?;
+        self.check_batch_shape(proofs, inputs)?;
+        let (members, mut bad): (Vec<usize>, Vec<usize>) =
+            (0..proofs.len()).partition(|&i| on_curve(&proofs[i]));
+        if members.is_empty() {
+            return Ok(bad);
+        }
+        let proofs: Vec<Proof> = members.iter().map(|&i| proofs[i]).collect();
+        let inputs: Vec<Vec<Fr>> = members.iter().map(|&i| inputs[i].clone()).collect();
+        let terms = BatchTerms::new(self, &proofs, &inputs);
+        let n = members.len();
+        bad.extend(
+            terms
+                .bisect(0..n, terms.aggregate(0..n))
+                .into_iter()
+                .map(|k| members[k]),
+        );
+        bad.sort_unstable();
         Ok(bad)
     }
 
-    fn isolate(
-        &self,
-        proofs: &[Proof],
-        inputs: &[Vec<Fr>],
-        offset: usize,
-        bad: &mut Vec<usize>,
-    ) -> Result<(), SnarkError> {
-        if proofs.is_empty() || self.verify_batch(proofs, inputs)? {
-            return Ok(());
+    /// The length checks shared by the batch entry points.
+    fn check_batch_shape(&self, proofs: &[Proof], inputs: &[Vec<Fr>]) -> Result<(), SnarkError> {
+        if proofs.len() != inputs.len() || inputs.iter().any(|x| x.len() + 1 != self.vk.ic.len()) {
+            return Err(SnarkError::InputLengthMismatch);
         }
-        if proofs.len() == 1 {
-            bad.push(offset);
-            return Ok(());
-        }
-        let mid = proofs.len() / 2;
-        self.isolate(&proofs[..mid], &inputs[..mid], offset, bad)?;
-        self.isolate(&proofs[mid..], &inputs[mid..], offset + mid, bad)
+        Ok(())
     }
 
     /// Fiat–Shamir RLC scalars: a running SHA-256 transcript over a domain
@@ -527,9 +506,126 @@ impl PreparedVerifyingKey {
     }
 }
 
+/// The derived terms of one batch's random linear combination. The root
+/// check and every bisection sub-check of
+/// [`PreparedVerifyingKey::verify_batch_isolating`] read them; none of
+/// them re-hashes or re-scales.
+struct BatchTerms<'a> {
+    pvk: &'a PreparedVerifyingKey,
+    inputs: &'a [Vec<Fr>],
+    /// The dynamic Miller pairs `(−rᵢ·Aᵢ, Bᵢ)`.
+    pairs: Vec<(G1Affine, G2Affine)>,
+    /// The `Cᵢ`.
+    c: Vec<G1Affine>,
+    /// The transcript scalars `rᵢ`.
+    r: Vec<Fr>,
+}
+
+/// `Σ rᵢ·ICᵢ`, `Σ rᵢ·Cᵢ` and `(Σ rᵢ)·α` over one subset: the G1 points a
+/// sub-check pairs with the prepared γ, δ and β lines.
+type Aggregate = [G1Projective; 3];
+
+impl<'a> BatchTerms<'a> {
+    /// Draws the transcript scalars and scales every `Aᵢ` (all proofs on
+    /// curve, lengths checked).
+    fn new(pvk: &'a PreparedVerifyingKey, proofs: &[Proof], inputs: &'a [Vec<Fr>]) -> Self {
+        let rs = pvk.batch_scalars(proofs, inputs);
+        // −rᵢ·Aᵢ: half-width double-and-add per proof, fanned out on the
+        // pool (the per-proof Miller pair dominates; this keeps the RLC
+        // scaling off the critical path).
+        let jobs: Vec<(G1Affine, [u64; 2])> = proofs
+            .iter()
+            .zip(rs.iter())
+            .map(|(p, r)| (p.a, [r.0 as u64, (r.0 >> 64) as u64]))
+            .collect();
+        let scaled =
+            waku_pool::par_map(&jobs, |(a, limbs)| a.to_projective().mul_limbs(limbs).neg());
+        let pairs = Projective::batch_to_affine(&scaled)
+            .into_iter()
+            .zip(proofs.iter())
+            .map(|(a, p)| (a, p.b))
+            .collect();
+        BatchTerms {
+            pvk,
+            inputs,
+            pairs,
+            c: proofs.iter().map(|p| p.c).collect(),
+            r: rs.iter().map(|r| r.1).collect(),
+        }
+    }
+
+    /// The aggregated G1 terms of the members in `range`.
+    fn aggregate(&self, range: Range<usize>) -> Aggregate {
+        let vk = &self.pvk.vk;
+        // Σ rᵢ·ICᵢ folded per *base*: (Σrᵢ)·IC₀ + Σⱼ (Σᵢ rᵢxᵢⱼ)·ICⱼ₊₁ —
+        // one tiny MSM over the key's IC points instead of N point adds.
+        let mut ic_coeffs = vec![Fr::zero(); vk.ic.len()];
+        for (r, x) in self.r[range.clone()]
+            .iter()
+            .zip(&self.inputs[range.clone()])
+        {
+            ic_coeffs[0] += *r;
+            for (c, xj) in ic_coeffs[1..].iter_mut().zip(x.iter()) {
+                *c += *r * *xj;
+            }
+        }
+        let r_sum = ic_coeffs[0];
+        // Σᵢ rᵢ·Cᵢ and (Σᵢ rᵢ)·α run alongside the IC fold.
+        let (ic, (c, alpha)) = waku_pool::join(
+            || msm(&vk.ic, &ic_coeffs),
+            || {
+                (
+                    msm(&self.c[range.clone()], &self.r[range.clone()]),
+                    vk.alpha_g1.mul(r_sum),
+                )
+            },
+        );
+        [ic, c, alpha]
+    }
+
+    /// One pairing check over the members in `range`, given their
+    /// aggregated terms.
+    fn check(&self, range: Range<usize>, agg: &Aggregate) -> bool {
+        let pvk = self.pvk;
+        let [ic, c, alpha] = <[G1Affine; 3]>::try_from(Projective::batch_to_affine(agg))
+            .expect("three aggregated points");
+        let ml = miller_loop_mixed(
+            &self.pairs[range],
+            &[
+                (ic, &pvk.gamma_prepared),
+                (c, &pvk.delta_prepared),
+                (alpha, &pvk.beta_prepared),
+            ],
+        );
+        final_exponentiation(&ml) == Some(Fp12::one())
+    }
+
+    /// Indices (ascending) of the invalid members in `range`, whose
+    /// aggregated terms are `agg`: checks the range, and if it fails and
+    /// holds more than one member, bisects with both halves checked
+    /// concurrently.
+    fn bisect(&self, range: Range<usize>, agg: Aggregate) -> Vec<usize> {
+        if self.check(range.clone(), &agg) {
+            return Vec::new();
+        }
+        if range.len() == 1 {
+            return vec![range.start];
+        }
+        let mid = range.start + range.len() / 2;
+        let left = self.aggregate(range.start..mid);
+        let right = [0, 1, 2].map(|k| agg[k].add(&left[k].neg()));
+        let (mut bad, right_bad) = waku_pool::join(
+            || self.bisect(range.start..mid, left),
+            || self.bisect(mid..range.end, right),
+        );
+        bad.extend(right_bad);
+        bad
+    }
+}
+
 /// Process-wide cache of prepared verifying keys for the free-function
 /// [`verify`] path, so repeated one-shot calls against the same key do not
-/// re-derive `e(α, β)` and the γ/δ line coefficients every time.
+/// re-derive `e(α, β)` and the β/γ/δ line coefficients every time.
 fn cached_pvk(vk: &VerifyingKey) -> Arc<PreparedVerifyingKey> {
     const CAPACITY: usize = 4;
     static CACHE: Mutex<Vec<(VerifyingKey, Arc<PreparedVerifyingKey>)>> = Mutex::new(Vec::new());

@@ -1,5 +1,6 @@
 //! Property-based soundness tests for batched Groth16 verification:
-//! randomized over batch sizes (1..=64) and corruption masks, the batch
+//! randomized over batch sizes (1..=64) and corruption masks — sparse ones
+//! and dense ones (one in four, all, only the first or last) — the batch
 //! verdict must equal the AND of per-proof verdicts, and bisection must
 //! isolate exactly the corrupted indices.
 //!
@@ -89,6 +90,20 @@ fn batch_with(size: usize, corrupt: &[usize]) -> (Vec<Proof>, Vec<Vec<Fr>>, Vec<
     (proofs, inputs, bad)
 }
 
+/// Dense corruption masks over a random batch size: one member in four
+/// (from a random offset), every member, only the first, or only the last.
+fn dense_masks() -> impl Strategy<Value = (usize, Vec<usize>)> {
+    (1usize..=POOL, 0usize..4, 0usize..4).prop_map(|(size, shape, offset)| {
+        let mask = match shape {
+            0 => (offset.min(size - 1)..size).step_by(4).collect(),
+            1 => (0..size).collect(),
+            2 => vec![0],
+            _ => vec![size - 1],
+        };
+        (size, mask)
+    })
+}
+
 proptest! {
     // Each case runs a few multi-Miller loops (~ms each); keep the case
     // count modest — coverage comes from the randomized sizes/masks.
@@ -121,6 +136,19 @@ proptest! {
             fixture().pvk.verify_batch_isolating(&proofs, &inputs).unwrap(),
             bad
         );
+    }
+
+    #[test]
+    fn dense_masks_isolate_to_per_proof_verdicts(case in dense_masks()) {
+        let (size, mask) = case;
+        let f = fixture();
+        let (proofs, inputs, bad) = batch_with(size, &mask);
+        let individually: Vec<usize> = (0..size)
+            .filter(|&i| !f.pvk.verify(&proofs[i], &inputs[i]).unwrap())
+            .collect();
+        prop_assert_eq!(&individually, &bad);
+        prop_assert_eq!(f.pvk.verify_batch(&proofs, &inputs).unwrap(), bad.is_empty());
+        prop_assert_eq!(f.pvk.verify_batch_isolating(&proofs, &inputs).unwrap(), bad);
     }
 
     #[test]
