@@ -266,200 +266,6 @@ impl Snapshot {
     }
 }
 
-/// A snapshot's wire bytes failed to decode.
-///
-/// Decoding is total: any byte slice either yields a snapshot or one of
-/// these variants — it never panics and never reads past the slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The slice ended before the announced structure was complete.
-    Truncated,
-    /// A kind/fold/value tag byte held an unknown value.
-    BadTag(u8),
-    /// A name or help string was not valid UTF-8.
-    BadUtf8,
-    /// A length field exceeded its sanity bound (guards allocation on
-    /// corrupted input).
-    Oversized,
-    /// Bytes remained after the final entry.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "snapshot wire bytes truncated"),
-            WireError::BadTag(t) => write!(f, "unknown snapshot wire tag {t}"),
-            WireError::BadUtf8 => write!(f, "snapshot wire string is not UTF-8"),
-            WireError::Oversized => write!(f, "snapshot wire length field exceeds sanity bound"),
-            WireError::TrailingBytes => write!(f, "trailing bytes after snapshot wire payload"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Longest name/help string accepted on decode.
-const MAX_WIRE_STR: usize = 4096;
-
-/// Decoded descriptors need `&'static str` names; strings arriving off
-/// the wire are interned here (leaked once per distinct string, which is
-/// bounded by the static metric catalogues of the sending process).
-fn intern(s: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .expect("intern cache poisoned");
-    if let Some(hit) = cache.get(s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    cache.insert(leaked);
-    leaked
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= MAX_WIRE_STR, "metric string too long for wire");
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
-    if bytes.len() < n {
-        return Err(WireError::Truncated);
-    }
-    let (head, rest) = bytes.split_at(n);
-    *bytes = rest;
-    Ok(head)
-}
-
-fn take_u16(bytes: &mut &[u8]) -> Result<u16, WireError> {
-    Ok(u16::from_le_bytes(take(bytes, 2)?.try_into().unwrap()))
-}
-
-fn take_u32(bytes: &mut &[u8]) -> Result<u32, WireError> {
-    Ok(u32::from_le_bytes(take(bytes, 4)?.try_into().unwrap()))
-}
-
-fn take_u64(bytes: &mut &[u8]) -> Result<u64, WireError> {
-    Ok(u64::from_le_bytes(take(bytes, 8)?.try_into().unwrap()))
-}
-
-fn take_str(bytes: &mut &[u8]) -> Result<&'static str, WireError> {
-    let len = take_u16(bytes)? as usize;
-    if len > MAX_WIRE_STR {
-        return Err(WireError::Oversized);
-    }
-    let raw = take(bytes, len)?;
-    let s = std::str::from_utf8(raw).map_err(|_| WireError::BadUtf8)?;
-    Ok(intern(s))
-}
-
-impl Snapshot {
-    /// Encodes the snapshot as a self-contained byte string for
-    /// cross-process transfer (the distributed simulation driver ships
-    /// per-worker snapshots through it). [`Snapshot::from_wire`] is the
-    /// exact inverse: `from_wire(&s.to_wire()) == Ok(s)`.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.entries.len() * 48);
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for entry in &self.entries {
-            put_str(&mut out, entry.desc.name);
-            put_str(&mut out, entry.desc.help);
-            out.push(match entry.desc.kind {
-                MetricKind::Counter => 0,
-                MetricKind::Gauge => 1,
-                MetricKind::Histogram => 2,
-            });
-            out.push(match entry.desc.fold {
-                GaugeFold::Sum => 0,
-                GaugeFold::Max => 1,
-            });
-            match &entry.value {
-                Value::Scalar(v) => {
-                    out.push(0);
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                Value::Histogram(h) => {
-                    out.push(1);
-                    out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
-                    for b in &h.buckets {
-                        out.extend_from_slice(&b.to_le_bytes());
-                    }
-                    out.extend_from_slice(&h.count.to_le_bytes());
-                    out.extend_from_slice(&h.sum.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes a snapshot produced by [`Snapshot::to_wire`]. Total on
-    /// arbitrary input: corrupted or truncated bytes return a
-    /// [`WireError`], never a panic or an over-read.
-    pub fn from_wire(bytes: &[u8]) -> Result<Snapshot, WireError> {
-        let mut bytes = bytes;
-        let count = take_u32(&mut bytes)? as usize;
-        // Smallest possible entry: two empty strings + 3 tag bytes + u64.
-        if count > bytes.len() / 15 {
-            return Err(WireError::Oversized);
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = take_str(&mut bytes)?;
-            let help = take_str(&mut bytes)?;
-            let kind = match take(&mut bytes, 1)?[0] {
-                0 => MetricKind::Counter,
-                1 => MetricKind::Gauge,
-                2 => MetricKind::Histogram,
-                t => return Err(WireError::BadTag(t)),
-            };
-            let fold = match take(&mut bytes, 1)?[0] {
-                0 => GaugeFold::Sum,
-                1 => GaugeFold::Max,
-                t => return Err(WireError::BadTag(t)),
-            };
-            let value = match take(&mut bytes, 1)?[0] {
-                0 => Value::Scalar(take_u64(&mut bytes)?),
-                1 => {
-                    let n = take_u32(&mut bytes)? as usize;
-                    if n > bytes.len() / 8 {
-                        return Err(WireError::Oversized);
-                    }
-                    let mut buckets = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        buckets.push(take_u64(&mut bytes)?);
-                    }
-                    let count = take_u64(&mut bytes)?;
-                    let sum = take_u64(&mut bytes)?;
-                    Value::Histogram(HistogramValue {
-                        buckets,
-                        count,
-                        sum,
-                    })
-                }
-                t => return Err(WireError::BadTag(t)),
-            };
-            entries.push(MetricValue {
-                desc: Desc {
-                    name,
-                    help,
-                    kind,
-                    fold,
-                },
-                value,
-            });
-        }
-        if !bytes.is_empty() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(Snapshot { entries })
-    }
-}
-
 /// Folds two same-name entries (kind/fold agreement debug-asserted).
 fn fold_pair(a: &MetricValue, b: &MetricValue) -> MetricValue {
     debug_assert_eq!(a.desc.kind, b.desc.kind, "kind clash on {}", a.desc.name);
@@ -552,33 +358,6 @@ mod tests {
         assert!(text.contains("latency_ms_bucket{le=\"+Inf\"} 1\n"));
         assert!(text.contains("latency_ms_sum 100\n"));
         assert!(text.contains("latency_ms_count 1\n"));
-    }
-
-    #[test]
-    fn wire_round_trips_and_rejects_corruption() {
-        let (r1, _) = sample();
-        let snap = r1.snapshot();
-        let bytes = snap.to_wire();
-        let back = Snapshot::from_wire(&bytes).expect("round trip");
-        assert_eq!(back, snap);
-        // Decoded descriptors intern to content-equal &'static strs.
-        assert_eq!(back.scalar("events_total"), 3);
-
-        for cut in 0..bytes.len() {
-            assert!(
-                Snapshot::from_wire(&bytes[..cut]).is_err(),
-                "truncation at {cut} must error"
-            );
-        }
-        let mut huge = bytes.clone();
-        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(Snapshot::from_wire(&huge), Err(WireError::Oversized));
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(
-            Snapshot::from_wire(&trailing),
-            Err(WireError::TrailingBytes)
-        );
     }
 
     #[test]

@@ -11,11 +11,16 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest request head we will read before answering; a scraper's GET
 /// line plus headers fits comfortably.
 const MAX_REQUEST_BYTES: usize = 4096;
+
+/// Time one connection may take from accept to the last response byte.
+/// Every read and write gets only what is left of it, so a client that
+/// trickles bytes cannot hold the event loop longer than this.
+const REQUEST_DEADLINE: Duration = Duration::from_millis(250);
 
 /// A polled metrics endpoint. Construct with [`MetricsServer::bind`],
 /// call [`MetricsServer::poll`] from the event loop with the current
@@ -41,15 +46,16 @@ impl MetricsServer {
 
     /// Serves every connection currently pending, answering each with
     /// `body` (for `/metrics`) or a 404. Returns how many requests were
-    /// answered. Never blocks beyond a short per-connection read
-    /// timeout; per-connection errors are swallowed (a half-open scraper
-    /// must not take the relayer down).
+    /// answered. Never spends more than a short per-connection deadline
+    /// on one client; per-connection errors are swallowed (a half-open
+    /// scraper must not take the relayer down).
     pub fn poll(&self, body: &str) -> std::io::Result<usize> {
         let mut served = 0;
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if serve_one(stream, body).is_ok() {
+                    let deadline = Instant::now() + REQUEST_DEADLINE;
+                    if serve_one(stream, body, deadline).is_ok() {
                         served += 1;
                     }
                 }
@@ -61,15 +67,23 @@ impl MetricsServer {
     }
 }
 
-fn serve_one(mut stream: TcpStream, body: &str) -> std::io::Result<()> {
+/// Time left until `deadline`, or `TimedOut` once it has passed.
+fn remaining(deadline: Instant) -> std::io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(std::io::ErrorKind::TimedOut.into());
+    }
+    Ok(left)
+}
+
+fn serve_one(mut stream: TcpStream, body: &str, deadline: Instant) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(250)))?;
 
     // Read until the end of the request head (or the cap).
     let mut head = Vec::new();
     let mut buf = [0u8; 512];
     loop {
+        stream.set_read_timeout(Some(remaining(deadline)?))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             break;
@@ -103,8 +117,15 @@ fn serve_one(mut stream: TcpStream, body: &str) -> std::io::Result<()> {
             msg
         )
     };
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    let mut rest = response.as_bytes();
+    while !rest.is_empty() {
+        stream.set_write_timeout(Some(remaining(deadline)?))?;
+        match stream.write(rest)? {
+            0 => return Err(std::io::ErrorKind::WriteZero.into()),
+            n => rest = &rest[n..],
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -144,5 +165,39 @@ mod tests {
 
         // An idle poll serves nothing and does not block.
         assert_eq!(server.poll("x").unwrap(), 0);
+    }
+
+    #[test]
+    fn trickling_client_cannot_hold_poll_past_the_deadline() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        // One byte every 50 ms for 2 s, never ending the request head.
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..40 {
+                if client.write_all(b"G").is_err() {
+                    return true; // the server hung up
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            false
+        });
+
+        let start = Instant::now();
+        let served = server.poll("x").unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(served, 0, "an unfinished request head is never answered");
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "poll blocked for {elapsed:?}"
+        );
+        assert!(
+            trickler.join().unwrap(),
+            "the server drops the trickling client"
+        );
+
+        // A normal scrape is still answered.
+        let ok = request(addr, &server, "waku_up 1\n", "/metrics");
+        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
     }
 }
